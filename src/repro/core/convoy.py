@@ -9,12 +9,19 @@ helper, implemented here as :func:`update` / :func:`antichain`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True)
 class Convoy:
-    """An (object set, lifespan) pair. Immutable and hashable."""
+    """An (object set, lifespan) pair. Immutable and hashable.
+
+    Ordered totally by ``(ts, te, sorted objs)``, so ``sorted()`` of a
+    convoy set does not depend on insertion order (``frozenset``'s own
+    ``<`` is the subset test, not a total order).
+    """
 
     ts: int
     te: int
@@ -23,6 +30,14 @@ class Convoy:
     def __post_init__(self) -> None:
         if self.ts > self.te:
             raise ValueError(f"empty lifespan [{self.ts}, {self.te}]")
+
+    def _key(self) -> tuple[int, int, tuple[int, ...]]:
+        return self.ts, self.te, tuple(sorted(self.objs))
+
+    def __lt__(self, other: "Convoy") -> bool:
+        if not isinstance(other, Convoy):
+            return NotImplemented
+        return self._key() < other._key()
 
     @property
     def length(self) -> int:

@@ -4,7 +4,7 @@ Pipeline over a :class:`TrajectoryStore`:
 
 1. cluster the **benchmark snapshots** (every ⌊k/2⌋-th timestamp);
 2. intersect adjacent benchmark cluster sets → **candidate clusters**;
-3. **HWMT** per hop-window → 1st-order spanning convoys;
+3. **HWMT** over all hop-windows in lockstep → 1st-order spanning convoys;
 4. **DCM-merge** → maximal spanning convoys;
 5. **extend** right then left → semi-connected candidates (≥ k long);
 6. **validate** (restricted re-mining) → maximal FC convoys.
@@ -84,9 +84,7 @@ def k2hop(
     done(p)
 
     p = phase("hwmt")
-    spanning = [
-        hwmt(store, w, cc, m, eps) if cc else [] for w, cc in zip(windows, ccs)
-    ]
+    spanning = hwmt(store, windows, ccs, m, eps)
     n_spanning = sum(len(s) for s in spanning)
     done(p)
 

@@ -113,7 +113,7 @@ def k2hop_spark(
                 for _, grp in pdf.groupby("grp")
             ]
             store = FileStore(pdf[["t", "oid", "x", "y"]].drop_duplicates(["t", "oid"]))
-            found = hwmt(store, (lo, hi), cc, m, eps)
+            found = hwmt(store, [(lo, hi)], [cc], m, eps)[0]
             return pd.DataFrame(
                 [
                     (w, v.ts, v.te, json.dumps(sorted(v.objs)))

@@ -85,19 +85,9 @@ def sweep_maximal_convoys(
 
 
 def store_cluster_seq(
-    store: TrajectoryStore,
-    m: int,
-    eps: float,
-    *,
-    t_range: tuple[int, int] | None = None,
-    objs: frozenset[int] | None = None,
-    mode: str = "grid",
+    store: TrajectoryStore, m: int, eps: float, *, mode: str = "grid"
 ) -> Iterator[tuple[int, list[frozenset[int]]]]:
-    """Per-timestamp (m,eps)-clusters from a store, optionally restricted
-    to a time range and/or an object set (DB[T]|O in paper notation)."""
-    ts, te = t_range if t_range is not None else store.time_range()
+    """Per-timestamp (m,eps)-clusters of every snapshot in a store."""
+    ts, te = store.time_range()
     for t in range(ts, te + 1):
-        oids, xy = (
-            store.snapshot(t) if objs is None else store.points(t, objs)
-        )
-        yield t, meps_clusters(oids, xy, m, eps, mode=mode)
+        yield t, meps_clusters(*store.snapshot(t), m, eps, mode=mode)

@@ -9,7 +9,8 @@ candidates either prove FC or fall below m objects / k timestamps.
 The restricted miner — the paper's HWMT* — is implemented as the exact
 exhaustive sweep over the restriction (see DESIGN.md §5): on the tiny
 restricted datasets both formulations are exact, and the paper measures
-validation time as negligible (Fig. 8i).
+validation time as negligible (Fig. 8i). Each candidate's whole
+``[ts, te] × O(v)`` block is read in one batched store call.
 
 The returned set is the maximal antichain of FC convoys (the FC Convoy
 Mining Problem, Definition 8).
@@ -17,7 +18,8 @@ Mining Problem, Definition 8).
 from __future__ import annotations
 
 from repro.core.convoy import Convoy, antichain
-from repro.core.sweep import store_cluster_seq, sweep_maximal_convoys
+from repro.core.hwmt import recluster_steps
+from repro.core.sweep import sweep_maximal_convoys
 from repro.stores.base import TrajectoryStore
 
 
@@ -25,8 +27,9 @@ def restricted_mine(
     store: TrajectoryStore, v: Convoy, m: int, k: int, eps: float
 ) -> list[Convoy]:
     """HWMT*: all maximal convoys of length ≥ k in DB[T(v)]|O(v)."""
-    seq = store_cluster_seq(store, m, eps, t_range=(v.ts, v.te), objs=v.objs)
-    return sweep_maximal_convoys(seq, m, k)
+    span = range(v.ts, v.te + 1)
+    seq = recluster_steps(store, [(t, [v.objs]) for t in span], m, eps)
+    return sweep_maximal_convoys(zip(span, seq), m, k)
 
 
 def validate(

@@ -1,11 +1,12 @@
 """Persistent storage substrates for trajectory data (paper Section 5).
 
-k/2-hop needs exactly two access paths:
+k/2-hop needs two access paths: full snapshot scans at benchmark
+timestamps, and (t, oid) reads for candidate objects inside hop-windows
+and convoy lifespans. The second comes as a single-timestamp
+``points(t, oids)`` and as a batched ``gather(t, oid)`` over many
+timestamps, so one mining step costs one store call.
 
-1. full snapshot scans at benchmark timestamps, and
-2. (t, oid) point reads for candidate objects inside hop-windows.
-
-Each backend realizes both:
+Each backend realizes all three:
 
 * :class:`~repro.stores.file_store.FileStore` — whole dataset in memory
   (the paper's ``k2-File`` flat-file variant);

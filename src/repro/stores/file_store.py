@@ -1,8 +1,8 @@
 """In-memory flat-file store (the paper's ``k2-File`` variant).
 
 Models loading the whole flat file into memory once: snapshots are
-pre-bucketed per timestamp; point reads binary-search the per-snapshot
-oid array. Fast when the dataset fits in RAM, which is exactly the
+pre-bucketed per timestamp; point reads and batched reads look up the
+per-snapshot oid array. Fast when the dataset fits in RAM, which is exactly the
 regime where the paper finds k2-File competitive (Trucks dataset).
 """
 from __future__ import annotations
@@ -12,10 +12,7 @@ from typing import Iterable
 import numpy as np
 import pandas as pd
 
-from repro.stores.base import validate_frame
-
-_EMPTY_OIDS = np.empty(0, dtype=np.int64)
-_EMPTY_XY = np.empty((0, 2), dtype=np.float64)
+from repro.stores.base import EMPTY_IDS, EMPTY_XY, gather_keys, t_runs, validate_frame
 
 
 class FileStore:
@@ -34,10 +31,8 @@ class FileStore:
         xy = df[["x", "y"]].to_numpy()
         # df is sorted by (t, oid): slice contiguous runs per timestamp,
         # so each snapshot's oid array is sorted (searchsorted-ready).
-        bounds = np.flatnonzero(np.diff(t)) + 1
-        for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(t)]):
-            if lo < hi:
-                self._snaps[int(t[lo])] = (oid[lo:hi], xy[lo:hi])
+        for lo, hi in t_runs(t):
+            self._snaps[int(t[lo])] = (oid[lo:hi], xy[lo:hi])
         self._ts = int(t.min()) if self._n else 0
         self._te = int(t.max()) if self._n else -1
 
@@ -45,15 +40,26 @@ class FileStore:
         return self._forced_range if self._forced_range else (self._ts, self._te)
 
     def snapshot(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._snaps.get(int(t), (_EMPTY_OIDS, _EMPTY_XY))
+        return self._snaps.get(int(t), (EMPTY_IDS, EMPTY_XY))
 
     def points(self, t: int, oids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         snap_oids, snap_xy = self.snapshot(t)
         if not len(snap_oids):
-            return _EMPTY_OIDS, _EMPTY_XY
+            return EMPTY_IDS, EMPTY_XY
         want = np.fromiter((int(o) for o in oids), dtype=np.int64)
         hit = np.isin(snap_oids, want)
         return snap_oids[hit], snap_xy[hit]
+
+    def gather(self, t, oid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        t, oid = gather_keys(t, oid)
+        out_t, out_oid, out_xy = [EMPTY_IDS], [EMPTY_IDS], [EMPTY_XY]
+        for lo, hi in t_runs(t):
+            snap_oids, snap_xy = self.snapshot(t[lo])
+            hit = np.isin(snap_oids, oid[lo:hi])
+            out_t.append(np.full(hit.sum(), t[lo], dtype=np.int64))
+            out_oid.append(snap_oids[hit])
+            out_xy.append(snap_xy[hit])
+        return np.concatenate(out_t), np.concatenate(out_oid), np.concatenate(out_xy)
 
     def total_points(self) -> int:
         return self._n

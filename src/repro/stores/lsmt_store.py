@@ -16,7 +16,9 @@ This module implements that structure over the local filesystem:
   all runs are k-way merged (newest wins on duplicate keys) into one.
 
 Reads consult the memtable first, then runs from newest to oldest;
-range scans merge all sources. Keys are (t, oid) tuples of non-negative
+range scans merge all sources. A batched ``gather`` binary-searches all
+requested keys in each run at once (newest run wins), then lets the
+memtable override by key lookup. Keys are (t, oid) tuples of non-negative
 ints, so numpy structured-array ordering matches key ordering.
 """
 from __future__ import annotations
@@ -28,16 +30,29 @@ from typing import Iterable
 import numpy as np
 import pandas as pd
 
-from repro.stores.base import validate_frame
+from repro.stores.base import EMPTY_IDS, EMPTY_XY, gather_keys, validate_frame
 
 _DTYPE = np.dtype([("t", "<i8"), ("oid", "<i8"), ("x", "<f8"), ("y", "<f8")])
-_EMPTY = np.empty(0, dtype=_DTYPE)
 
 
-def _keyvals(rec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return rec["oid"].astype(np.int64), np.column_stack(
-        [rec["x"], rec["y"]]
-    ).astype(np.float64).reshape(-1, 2)
+def _find(rec: np.ndarray, t: np.ndarray, oid: np.ndarray) -> np.ndarray:
+    """Positions of the (t[i], oid[i]) keys in a (t, oid)-sorted run, −1
+    where absent: one binary search over the run for all keys at once,
+    touching O(len(t) · log len(rec)) records."""
+    n = len(rec)
+    lo = np.zeros(len(t), dtype=np.int64)
+    hi = np.full(len(t), n, dtype=np.int64)
+    while True:
+        live = lo < hi
+        if not live.any():
+            break
+        mid = (lo + hi) // 2
+        r = rec[np.minimum(mid, n - 1)]
+        below = (r["t"] < t) | ((r["t"] == t) & (r["oid"] < oid))
+        lo = np.where(live & below, mid + 1, lo)
+        hi = np.where(live & ~below, mid, hi)
+    r = rec[np.minimum(lo, n - 1)]
+    return np.where((lo < n) & (r["t"] == t) & (r["oid"] == oid), lo, -1)
 
 
 class LSMTStore:
@@ -61,21 +76,35 @@ class LSMTStore:
         self._max_runs = int(max_runs)
         self._runs: list[Path] = []  # oldest → newest
         self._next_run = 0
+        self._range = (0, -1)  # (min t, max t) over every key ever put
         if df is not None:
             self.put_frame(df)
 
     # ------------------------------------------------------------- write
     def put(self, t: int, oid: int, x: float, y: float) -> None:
         """Insert/overwrite one point; may trigger a flush."""
-        self._memtable[(int(t), int(oid))] = (float(x), float(y))
-        if len(self._memtable) >= self._memtable_limit:
-            self.flush()
+        t, oid = int(t), int(oid)
+        if t < 0 or oid < 0:
+            raise ValueError(f"negative key ({t}, {oid}): keys must be non-negative")
+        self._widen(t, t)
+        self._insert(t, oid, x, y)
 
     def put_frame(self, df: pd.DataFrame) -> None:
         """Bulk-insert a trajectory frame through the normal write path."""
-        df = validate_frame(df)
+        df = validate_frame(df)  # non-negative keys, sorted by t
+        if len(df):
+            self._widen(int(df["t"].iloc[0]), int(df["t"].iloc[-1]))
         for t, oid, x, y in df.itertuples(index=False):
-            self.put(t, oid, x, y)
+            self._insert(t, oid, x, y)
+
+    def _widen(self, lo: int, hi: int) -> None:
+        ts, te = self._range
+        self._range = (lo, hi) if ts > te else (min(ts, lo), max(te, hi))
+
+    def _insert(self, t: int, oid: int, x: float, y: float) -> None:
+        self._memtable[(int(t), int(oid))] = (float(x), float(y))
+        if len(self._memtable) >= self._memtable_limit:
+            self.flush()
 
     def flush(self) -> None:
         """Write the memtable as a new sorted run."""
@@ -161,19 +190,32 @@ class LSMTStore:
         xy = np.array([out[int(o)] for o in hit], dtype=np.float64)
         return hit, xy
 
+    def gather(self, t, oid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        t, oid = gather_keys(t, oid)
+        if not len(t):
+            return EMPTY_IDS, EMPTY_IDS, EMPTY_XY
+        xy = np.empty((len(t), 2), dtype=np.float64)
+        found = np.zeros(len(t), dtype=bool)
+        for path in self._runs:  # oldest first: newer runs overwrite
+            rec = self._run_mmap(path)
+            if not len(rec):
+                continue
+            pos = _find(rec, t, oid)
+            hit = pos >= 0
+            r = rec[pos[hit]]
+            xy[hit, 0], xy[hit, 1] = r["x"], r["y"]
+            found |= hit
+        if self._memtable:
+            for i, key in enumerate(zip(t.tolist(), oid.tolist())):
+                val = self._memtable.get(key)
+                if val is not None:
+                    xy[i] = val
+                    found[i] = True
+        return t[found], oid[found], xy[found]
+
     # ------------------------------------------------------------- stats
     def time_range(self) -> tuple[int, int]:
-        ts: int | None = None
-        te: int | None = None
-        for path in self._runs:
-            rec = self._run_mmap(path)
-            if len(rec):
-                ts = int(rec["t"][0]) if ts is None else min(ts, int(rec["t"][0]))
-                te = int(rec["t"][-1]) if te is None else max(te, int(rec["t"][-1]))
-        for (t, _oid) in self._memtable:
-            ts = t if ts is None else min(ts, t)
-            te = t if te is None else max(te, t)
-        return (0, -1) if ts is None else (ts, te)
+        return self._range
 
     def total_points(self) -> int:
         keys = {(int(r["t"]), int(r["oid"])) for p in self._runs for r in np.fromfile(p, dtype=_DTYPE)}

@@ -3,7 +3,7 @@
 Wraps any :class:`TrajectoryStore` and counts how many points each
 algorithm phase fetched. The paper's "points processed" is the number of
 points the algorithm reads (benchmark snapshot scans + HWMT / extension
-/ validation point queries); pruning % = 1 − processed / total.
+/ validation point and batched reads); pruning % = 1 − processed / total.
 """
 from __future__ import annotations
 
@@ -40,6 +40,11 @@ class MeteredStore:
         got, xy = self._inner.points(t, oids)
         self.reads[self._phase] += len(got)
         return got, xy
+
+    def gather(self, t, oid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        got_t, got_oid, xy = self._inner.gather(t, oid)
+        self.reads[self._phase] += len(got_t)
+        return got_t, got_oid, xy
 
     def total_points(self) -> int:
         return self._inner.total_points()

@@ -2,8 +2,9 @@
 
 The paper stores ``(timestamp, oid, x, y)`` in a relational table with a
 multi-column clustered index on (timestamp, oid); benchmark snapshots
-are fetched with a ``WHERE t = ?`` scan and HWMT data with
-``WHERE t = ? AND oid IN (...)`` point queries. DuckDB plays the RDBMS
+are fetched with a ``WHERE t = ?`` scan, single-timestamp point reads
+with ``WHERE t = ? AND oid IN (...)``, and batched reads as one join
+against the requested (t, oid) keys passed as ``unnest``ed arrays. DuckDB plays the RDBMS
 role here — a real SQL engine with an ART index on (t, oid). Data is
 physically ordered by (t, oid) at load time to model the clustered
 index.
@@ -18,7 +19,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-from repro.stores.base import validate_frame
+from repro.stores.base import EMPTY_IDS, EMPTY_XY, gather_keys, validate_frame
 
 
 class RDBMSStore:
@@ -49,28 +50,41 @@ class RDBMSStore:
     def time_range(self) -> tuple[int, int]:
         return self._range
 
-    def _fetch(self, sql: str, params: list) -> tuple[np.ndarray, np.ndarray]:
+    def _fetch(self, sql: str, params: list) -> dict[str, np.ndarray]:
         out = self._con.execute(sql, params).fetchnumpy()
-        oids = out["oid"].astype(np.int64)
-        xy = np.column_stack([out["x"], out["y"]]).astype(np.float64)
-        if xy.size == 0:
-            xy = np.empty((0, 2), dtype=np.float64)
-        return oids, xy
+        out["oid"] = out["oid"].astype(np.int64)
+        out["xy"] = np.column_stack([out["x"], out["y"]]).astype(np.float64).reshape(-1, 2)
+        return out
 
     def snapshot(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._fetch(
-            "SELECT oid, x, y FROM points WHERE t = ? ORDER BY oid", [int(t)]
-        )
+        out = self._fetch("SELECT oid, x, y FROM points WHERE t = ? ORDER BY oid", [int(t)])
+        return out["oid"], out["xy"]
 
     def points(self, t: int, oids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         want = [int(o) for o in oids]
         if not want:
-            return np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.float64)
+            return EMPTY_IDS, EMPTY_XY
         ph = ",".join("?" * len(want))
-        return self._fetch(
+        out = self._fetch(
             f"SELECT oid, x, y FROM points WHERE t = ? AND oid IN ({ph}) ORDER BY oid",
             [int(t), *want],
         )
+        return out["oid"], out["xy"]
+
+    def gather(self, t, oid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        t, oid = gather_keys(t, oid)
+        if not len(t):
+            return EMPTY_IDS, EMPTY_IDS, EMPTY_XY
+        out = self._fetch(
+            "SELECT p.t, p.oid, p.x, p.y FROM points p JOIN "
+            "(SELECT unnest(?::BIGINT[]) AS t, unnest(?::BIGINT[]) AS oid) k "
+            "ON p.t = k.t AND p.oid = k.oid",
+            [t, oid],
+        )
+        # Sorting the few result rows here is cheaper than ORDER BY.
+        got_t = out["t"].astype(np.int64)
+        order = np.lexsort((out["oid"], got_t))
+        return got_t[order], out["oid"][order], out["xy"][order]
 
     def total_points(self) -> int:
         return self._n

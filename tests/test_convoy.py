@@ -1,5 +1,6 @@
 """Unit tests for the Convoy model and antichain maintenance."""
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.convoy import Convoy, antichain, convoy, update
 
@@ -23,6 +24,30 @@ class TestConvoy:
     def test_hashable_and_equal(self):
         assert convoy([1, 2], 0, 3) == convoy([2, 1], 0, 3)
         assert len({convoy([1, 2], 0, 3), convoy([1, 2], 0, 3)}) == 1
+
+    _PEERS = [
+        convoy([3, 4], 0, 5),
+        convoy([1, 2], 0, 5),
+        convoy([1, 5], 0, 5),
+        convoy([2], 0, 5),
+        convoy([1, 2], 0, 4),
+    ]
+
+    def test_total_order_by_lifespan_then_sorted_objects(self):
+        # frozenset < is the subset test: {3,4} and {1,2} are incomparable
+        # under it, so the order must come from the sorted object ids.
+        assert sorted(self._PEERS) == [
+            convoy([1, 2], 0, 4),
+            convoy([1, 2], 0, 5),
+            convoy([1, 5], 0, 5),
+            convoy([2], 0, 5),
+            convoy([3, 4], 0, 5),
+        ]
+
+    @given(st.permutations(_PEERS))
+    def test_sorted_independent_of_insertion_order(self, peers):
+        assert sorted(peers) == sorted(self._PEERS)
+        assert sorted(set(peers)) == sorted(self._PEERS)
 
 
 class TestUpdate:

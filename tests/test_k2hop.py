@@ -1,12 +1,15 @@
 """End-to-end k/2-hop tests: worked scenes, planted-convoy recovery,
 store-backend independence, and exact agreement with VCoDA and the
 brute-force FC miner on randomized small worlds."""
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.bruteforce import brute_force_fc_convoys
 from repro.baselines.vcoda import vcoda, vcoda_star
+from repro.core.benchmarks import benchmark_points, hop_length
 from repro.core.convoy import convoy
 from repro.core.k2hop import k2hop
 from repro.stores import FileStore, LSMTStore, MeteredStore, RDBMSStore
@@ -127,6 +130,58 @@ class TestPruningInstrumentation:
         k2hop(ms, 3, 10, 10.0)
         # k=10 → h=5 → benchmarks at 0,5,...,35: 8 snapshots × 20 objects.
         assert ms.reads["benchmark"] == 8 * 20
+
+
+class CallCountingStore(MeteredStore):
+    """MeteredStore that also counts read calls per phase."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls = Counter()
+
+    def snapshot(self, t):
+        self.calls[self._phase] += 1
+        return super().snapshot(t)
+
+    def points(self, t, oids):
+        self.calls[self._phase] += 1
+        return super().points(t, oids)
+
+    def gather(self, t, oid):
+        self.calls[self._phase] += 1
+        return super().gather(t, oid)
+
+
+class TestStoreCallBudget:
+    def test_one_read_call_per_step(self):
+        # Three convoys of two groups' worth of objects, extending past
+        # the benchmark points they span, on T = 40 with k = 8 (h = 4).
+        groups = {}
+        for t in range(40):
+            gs = []
+            if 1 <= t <= 30:
+                gs += [[0, 1, 2], [3, 4, 5]]
+            if 6 <= t <= 37:
+                gs.append([6, 7, 8, 9])
+            groups[t] = gs
+        T, k = 40, 8
+        store = CallCountingStore(FileStore(scene_from_groups(groups, list(range(12)))))
+        res = k2hop(store, 3, k, EPS)
+        assert res.convoys == [
+            convoy([0, 1, 2], 1, 30), convoy([3, 4, 5], 1, 30), convoy([6, 7, 8, 9], 6, 37)
+        ]
+        n_bench = len(benchmark_points(0, T - 1, k))
+        longest_order = hop_length(k) - 1  # interior timestamps of a window
+        # Each pass steps at most from the nearest benchmark point to the
+        # farthest convoy end, plus the step that finds the convoy dead.
+        ext_steps = (hop_length(k) + 1) * 2
+        assert store.calls["benchmark"] == n_bench
+        assert store.calls["hwmt"] <= longest_order
+        assert store.calls["extend-right"] + store.calls["extend-left"] <= ext_steps
+        assert store.calls["validation"] <= res.n_prevalidation
+        assert sum(store.calls.values()) <= (
+            n_bench + longest_order + ext_steps + res.n_prevalidation
+        )
 
 
 @st.composite
