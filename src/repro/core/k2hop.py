@@ -24,6 +24,7 @@ from repro.core.benchmarks import (
     candidate_clusters,
     hop_windows,
 )
+from repro.core.clustering import check_params
 from repro.core.convoy import Convoy
 from repro.core.extend import extend_left, extend_right
 from repro.core.hwmt import hwmt
@@ -59,6 +60,7 @@ def k2hop(
     ``do_validate=False`` stops after extension, returning the
     *semi-connected* candidates — the pre-validation set Fig. 8j counts.
     """
+    check_params(eps, m)
     metered = store if isinstance(store, MeteredStore) else None
     times: dict[str, float] = {}
 

@@ -31,6 +31,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from repro.core.benchmarks import benchmark_points, candidate_clusters, hop_windows
+from repro.core.clustering import check_params
 from repro.core.convoy import Convoy
 from repro.core.extend import extend
 from repro.core.hwmt import hwmt
@@ -68,6 +69,7 @@ def k2hop_spark(
     spark: SparkSession, df: DataFrame, m: int, k: int, eps: float
 ) -> K2HopSparkResult:
     """Distributed k/2-hop over a (t, oid, x, y) DataFrame."""
+    check_params(eps, m)  # on the driver, before any Spark job
     df = df.select("t", "oid", "x", "y")
     total = df.count()
     ts, te = df.agg(F.min("t"), F.max("t")).first()

@@ -6,6 +6,10 @@ pairwise ≤ 1 apart) and scatters every other object far from everything
 (≥ 50 apart). With ``eps=2`` the per-snapshot DBSCAN output is then
 exactly the requested groups (of size ≥ m) — letting tests encode the
 paper's worked examples (Figures 2/5/6, Tables 2/3) literally.
+
+``random_walks`` is the opposite: free geometry in a small box, where
+chains, bridges and border points shared by two clusters occur, so
+partially and fully connected convoys differ.
 """
 from __future__ import annotations
 
@@ -45,6 +49,20 @@ def scene_from_groups(
             if oid not in placed:
                 rows.append((t, oid, 20_000.0 + 50.0 * oid, 9_000.0 + 37.0 * t))
     return pd.DataFrame(rows, columns=["t", "oid", "x", "y"])
+
+
+def random_walks(
+    n_obj: int, n_t: int, *, box: float, step: float, seed: int
+) -> pd.DataFrame:
+    """(t, oid, x, y) frame of ``n_obj`` Gaussian random walks, clipped to
+    the square [0, box]², one row per object and timestamp."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0, box, (n_obj, 2)) + np.cumsum(
+        rng.normal(0, step, (n_t, n_obj, 2)), axis=0
+    )
+    pos = np.clip(pos, 0, box)
+    t, oid = np.divmod(np.arange(n_t * n_obj), n_obj)
+    return pd.DataFrame({"t": t, "oid": oid, "x": pos[..., 0].ravel(), "y": pos[..., 1].ravel()})
 
 
 def letters(*names: str) -> list[int]:

@@ -14,7 +14,7 @@ from repro.core.convoy import convoy
 from repro.core.k2hop import k2hop
 from repro.stores import FileStore, LSMTStore, MeteredStore, RDBMSStore
 from repro.synth_data import convoy_scene
-from repro.testkit import EPS, scene_from_groups
+from repro.testkit import EPS, random_walks, scene_from_groups
 
 
 def _simple_scene():
@@ -204,6 +204,21 @@ def tiny_world(draw):
     return groups_per_t, n_obj
 
 
+@st.composite
+def free_world(draw):
+    """Random walks of ≤7 objects × ≤12 timestamps in a small box, with
+    eps in [0.8, 2]: a (frame, eps) world with chains, bridges and
+    border ties, unlike the clique scenes ``tiny_world`` builds."""
+    df = random_walks(
+        draw(st.integers(4, 7)),
+        draw(st.integers(4, 12)),
+        box=draw(st.floats(2.0, 5.0)),
+        step=draw(st.floats(0.2, 0.8)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return df, draw(st.floats(0.8, 2.0))
+
+
 class TestAgainstBruteForce:
     @settings(max_examples=30, deadline=None)
     @given(tiny_world(), st.integers(2, 3), st.integers(2, 4))
@@ -220,6 +235,31 @@ class TestAgainstBruteForce:
         groups_per_t, n_obj = world
         store = FileStore(scene_from_groups(groups_per_t, list(range(n_obj))))
         assert vcoda(store, m, k, EPS) == brute_force_fc_convoys(store, m, k, EPS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(free_world(), st.integers(2, 3), st.integers(2, 5))
+    def test_free_geometry_k2hop_vcoda_star_bruteforce(self, world, m, k):
+        df, eps = world
+        store = FileStore(df)
+        exp = brute_force_fc_convoys(store, m, k, eps)
+        assert k2hop(store, m, k, eps).convoys == exp
+        assert vcoda_star(store, m, k, eps) == exp
+
+
+class TestRejectsInvalidParameters:
+    store = _simple_scene()
+
+    def test_zero_m(self):
+        with pytest.raises(ValueError, match="min_pts"):
+            k2hop(self.store, 0, 4, EPS)
+
+    def test_nonpositive_eps(self):
+        with pytest.raises(ValueError, match="eps"):
+            k2hop(self.store, 3, 4, -1.0)
+
+    def test_nan_eps(self):
+        with pytest.raises(ValueError, match="eps"):
+            k2hop(self.store, 3, 4, float("nan"))
 
 
 class TestEdgeCases:

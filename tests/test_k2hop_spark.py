@@ -2,6 +2,7 @@
 accounting, and a DuckDB-oracle check of the pruned hop-window join."""
 import pandas as pd
 import pytest
+from hypothesis import given, settings, strategies as st
 from pyspark.sql import functions as F
 
 from repro.core.k2hop import k2hop
@@ -9,6 +10,7 @@ from repro.core.k2hop_spark import k2hop_spark
 from repro.stores import FileStore
 from repro.synth_data import convoy_scene
 from repro.testkit import EPS, scene_from_groups
+from tests.test_k2hop import free_world
 
 
 class TestK2HopSpark:
@@ -49,6 +51,21 @@ class TestK2HopSpark:
         res = k2hop_spark(spark, spark.createDataFrame(df), 4, 30, 10.0)
         assert 0 < res.points_scanned < res.points_total
         assert res.pruning_pct > 50.0
+
+    @settings(max_examples=10, deadline=None)
+    @given(free_world(), st.integers(2, 3), st.integers(2, 5))
+    def test_equals_sequential_on_free_geometry(self, spark, world, m, k):
+        df, eps = world
+        seq = k2hop(FileStore(df), m, k, eps).convoys
+        assert k2hop_spark(spark, spark.createDataFrame(df), m, k, eps).convoys == seq
+
+    @pytest.mark.parametrize("m, eps", [(0, EPS), (3, 0.0), (3, float("inf"))])
+    def test_rejects_invalid_parameters_on_driver(self, spark, m, eps):
+        df = spark.createDataFrame(scene_from_groups({0: [[0, 1, 2]]}, list(range(4))))
+        jobs = spark.sparkContext.statusTracker().getJobIdsForGroup()
+        with pytest.raises(ValueError):
+            k2hop_spark(spark, df, m, 4, eps)
+        assert spark.sparkContext.statusTracker().getJobIdsForGroup() == jobs
 
 
 class TestPrunedJoinOracle:
