@@ -8,24 +8,37 @@ in sorted runs), and HWMT issues point/batch gets by ``(t, oid)``.
 This module implements that structure over the local filesystem:
 
 * **Memtable** — an in-memory dict of fresh inserts; flushed to a sorted
-  run when it exceeds ``memtable_limit`` entries.
+  run when it reaches ``memtable_limit`` entries. Reads see it as one
+  more sorted source: a (t, oid)-sorted record array built from the dict
+  on first read and dropped on every write.
 * **SSTable run** — an immutable file of fixed-width records sorted by
-  key; read back via ``np.memmap`` so reads actually touch the files.
-  Record layout: ``t:int64, oid:int64, x:float64, y:float64``.
+  key. Record layout: ``t:int64, oid:int64, x:float64, y:float64``. Each
+  run is memory-mapped once, when it is written, and keeps an in-memory
+  index block: its ``(t, oid)`` keys packed into 16 bytes per row. Reads
+  search the index and take the values from the mapped file, so they
+  touch the files.
 * **Size-tiered compaction** — when more than ``max_runs`` runs exist,
-  all runs are k-way merged (newest wins on duplicate keys) into one.
+  all runs are merged (newest wins on duplicate keys) into one.
 
-Reads consult the memtable first, then runs from newest to oldest;
-range scans merge all sources. A batched ``gather`` binary-searches all
-requested keys in each run at once (newest run wins), then lets the
-memtable override by key lookup. Keys are (t, oid) tuples of non-negative
-ints, so numpy structured-array ordering matches key ordering.
+Every merge — compaction, snapshot and the key count — is one array
+merge, :func:`_newest_wins`: concatenate the sources oldest first,
+stable-sort by key, keep the last row of each key; a flush writes the
+memtable's sorted record array. A snapshot narrows
+each source to its rows at ``t`` by a binary search on the index first;
+a batched ``gather`` is one ``searchsorted`` of all requested keys per
+source, newer sources overwriting older ones. ``put_frame`` bulk-loads a
+(t, oid)-sorted frame: a chunk that fills an empty memtable is written
+straight as a run (the bytes insert-then-flush would write), the rest
+goes into the memtable in one ``dict.update``. Keys are (t, oid) pairs
+of non-negative ints, packed big-endian, so their bytewise order is key
+order.
 """
 from __future__ import annotations
 
 import tempfile
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -33,26 +46,38 @@ import pandas as pd
 from repro.stores.base import EMPTY_IDS, EMPTY_XY, gather_keys, validate_frame
 
 _DTYPE = np.dtype([("t", "<i8"), ("oid", "<i8"), ("x", "<f8"), ("y", "<f8")])
+# Index keys are packed big-endian, so comparing two keys' 16 bytes (the
+# bytewise order of LevelDB-style stores) is (t, oid) order for
+# non-negative keys; a negative query key sorts after every stored key.
+_KEY = np.dtype([("t", ">i8"), ("oid", ">i8")])
 
 
-def _find(rec: np.ndarray, t: np.ndarray, oid: np.ndarray) -> np.ndarray:
-    """Positions of the (t[i], oid[i]) keys in a (t, oid)-sorted run, −1
-    where absent: one binary search over the run for all keys at once,
-    touching O(len(t) · log len(rec)) records."""
-    n = len(rec)
-    lo = np.zeros(len(t), dtype=np.int64)
-    hi = np.full(len(t), n, dtype=np.int64)
-    while True:
-        live = lo < hi
-        if not live.any():
-            break
-        mid = (lo + hi) // 2
-        r = rec[np.minimum(mid, n - 1)]
-        below = (r["t"] < t) | ((r["t"] == t) & (r["oid"] < oid))
-        lo = np.where(live & below, mid + 1, lo)
-        hi = np.where(live & ~below, mid, hi)
-    r = rec[np.minimum(lo, n - 1)]
-    return np.where((lo < n) & (r["t"] == t) & (r["oid"] == oid), lo, -1)
+class _Source(NamedTuple):
+    """A (t, oid)-sorted source with unique keys: a run or the memtable."""
+
+    rec: np.ndarray  # _DTYPE records (mapped from the file for runs)
+    keys: np.ndarray  # the same rows' keys, packed by _pack, in memory
+    path: Path | None = None
+
+
+def _pack(t, oid) -> np.ndarray:
+    """(t, oid) keys as 16-byte strings that sort in key order."""
+    keys = np.empty(len(t), dtype=_KEY)
+    keys["t"], keys["oid"] = t, oid
+    return keys.view("V16")
+
+
+def _newest_wins(parts: list[np.ndarray]) -> np.ndarray:
+    """Merge (t, oid)-sorted arrays with unique keys, oldest first, into
+    one sorted array keeping the newest row per key. Works on records
+    and on key arrays alike."""
+    if len(parts) == 1:
+        return parts[0]
+    cat = np.concatenate(parts)
+    cat = cat[np.lexsort((cat["oid"], cat["t"]))]  # stable: newer rows last
+    last = np.ones(len(cat), dtype=bool)
+    last[:-1] = (cat["t"][1:] != cat["t"][:-1]) | (cat["oid"][1:] != cat["oid"][:-1])
+    return cat[last]
 
 
 class LSMTStore:
@@ -72,9 +97,10 @@ class LSMTStore:
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
         self._memtable: dict[tuple[int, int], tuple[float, float]] = {}
+        self._mem: _Source | None = None  # sorted view of the memtable
         self._memtable_limit = int(memtable_limit)
         self._max_runs = int(max_runs)
-        self._runs: list[Path] = []  # oldest → newest
+        self._runs: list[_Source] = []  # oldest → newest
         self._next_run = 0
         self._range = (0, -1)  # (min t, max t) over every key ever put
         if df is not None:
@@ -87,130 +113,125 @@ class LSMTStore:
         if t < 0 or oid < 0:
             raise ValueError(f"negative key ({t}, {oid}): keys must be non-negative")
         self._widen(t, t)
-        self._insert(t, oid, x, y)
+        self._memtable[(t, oid)] = (float(x), float(y))
+        self._mem = None
+        if len(self._memtable) >= self._memtable_limit:
+            self.flush()
 
     def put_frame(self, df: pd.DataFrame) -> None:
-        """Bulk-insert a trajectory frame through the normal write path."""
-        df = validate_frame(df)  # non-negative keys, sorted by t
-        if len(df):
-            self._widen(int(df["t"].iloc[0]), int(df["t"].iloc[-1]))
-        for t, oid, x, y in df.itertuples(index=False):
-            self._insert(t, oid, x, y)
+        """Bulk-insert a trajectory frame: the same runs and memtable a
+        ``put`` per row in (t, oid) order would leave."""
+        df = validate_frame(df)  # non-negative unique keys, (t, oid)-sorted
+        if not len(df):
+            return
+        self._widen(int(df["t"].iloc[0]), int(df["t"].iloc[-1]))
+        rec = np.empty(len(df), dtype=_DTYPE)
+        for col in _DTYPE.names:
+            rec[col] = df[col].to_numpy()
+        # A put loop flushes whenever the memtable reaches the limit (so
+        # every put flushes when the limit is below 1).
+        limit = max(self._memtable_limit, 1)
+        i = 0
+        while i < len(rec):
+            chunk = rec[i : i + limit]
+            if not self._memtable and len(chunk) == limit:
+                self._add_run(chunk)
+                i += limit
+                continue
+            keys = list(zip(chunk["t"].tolist(), chunk["oid"].tolist()))
+            new = ~np.fromiter(map(self._memtable.__contains__, keys), bool, len(keys))
+            # Rows up to and including the one that fills the memtable.
+            size = len(self._memtable) + np.cumsum(new)
+            take = min(int(np.searchsorted(size, limit)) + 1, len(chunk))
+            self._memtable.update(
+                zip(keys[:take], zip(chunk["x"][:take].tolist(), chunk["y"][:take].tolist()))
+            )
+            self._mem = None
+            i += take
+            if len(self._memtable) >= limit:
+                self.flush()
 
     def _widen(self, lo: int, hi: int) -> None:
         ts, te = self._range
         self._range = (lo, hi) if ts > te else (min(ts, lo), max(te, hi))
 
-    def _insert(self, t: int, oid: int, x: float, y: float) -> None:
-        self._memtable[(int(t), int(oid))] = (float(x), float(y))
-        if len(self._memtable) >= self._memtable_limit:
-            self.flush()
-
     def flush(self) -> None:
         """Write the memtable as a new sorted run."""
         if not self._memtable:
             return
-        rec = np.empty(len(self._memtable), dtype=_DTYPE)
-        for i, ((t, oid), (x, y)) in enumerate(self._memtable.items()):
-            rec[i] = (t, oid, x, y)
-        rec.sort(order=("t", "oid"))
-        path = self._dir / f"run-{self._next_run:06d}.sst"
-        self._next_run += 1
-        rec.tofile(path)
-        self._runs.append(path)
+        rec = self._memtable_source().rec
         self._memtable.clear()
+        self._mem = None
+        self._add_run(rec)
+
+    def _add_run(self, rec: np.ndarray) -> None:
+        self._runs.append(self._write_run(rec))
         if len(self._runs) > self._max_runs:
             self._compact()
 
-    def _compact(self) -> None:
-        """Size-tiered compaction: merge all runs, newest wins per key."""
-        merged: dict[tuple[int, int], tuple[float, float]] = {}
-        for path in self._runs:  # oldest first → later (newer) overwrite
-            for r in np.fromfile(path, dtype=_DTYPE):
-                merged[(int(r["t"]), int(r["oid"]))] = (float(r["x"]), float(r["y"]))
-        rec = np.empty(len(merged), dtype=_DTYPE)
-        for i, ((t, oid), (x, y)) in enumerate(merged.items()):
-            rec[i] = (t, oid, x, y)
-        rec.sort(order=("t", "oid"))
+    def _write_run(self, rec: np.ndarray) -> _Source:
         path = self._dir / f"run-{self._next_run:06d}.sst"
         self._next_run += 1
         rec.tofile(path)
-        for old in self._runs:
-            old.unlink()
-        self._runs = [path]
+        mapped = np.memmap(path, dtype=_DTYPE, mode="r").view(np.ndarray)  # keeps the map
+        return _Source(mapped, _pack(rec["t"], rec["oid"]), path)
+
+    def _compact(self) -> None:
+        """Size-tiered compaction: merge all runs, newest wins per key."""
+        old = self._runs
+        self._runs = [self._write_run(_newest_wins([run.rec for run in old]))]
+        for run in old:
+            run.path.unlink()
 
     # -------------------------------------------------------------- read
-    def _run_mmap(self, path: Path) -> np.ndarray:
-        return np.memmap(path, dtype=_DTYPE, mode="r")
+    def _memtable_source(self) -> _Source | None:
+        if self._mem is None and self._memtable:
+            n = len(self._memtable)
+            k = np.fromiter(chain.from_iterable(self._memtable), np.int64, 2 * n).reshape(n, 2)
+            v = np.fromiter(chain.from_iterable(self._memtable.values()), np.float64, 2 * n)
+            order = np.lexsort((k[:, 1], k[:, 0]))
+            rec = np.empty(n, dtype=_DTYPE)
+            rec["t"], rec["oid"] = k[order, 0], k[order, 1]
+            rec["x"], rec["y"] = v[0::2][order], v[1::2][order]
+            self._mem = _Source(rec, _pack(rec["t"], rec["oid"]))
+        return self._mem
 
-    def _range_from_run(self, rec: np.ndarray, t: int) -> np.ndarray:
-        """Records for timestamp ``t`` — one binary-searched range scan."""
-        lo = np.searchsorted(rec["t"], t, side="left")
-        hi = np.searchsorted(rec["t"], t, side="right")
-        return np.asarray(rec[lo:hi])
+    def _sources(self) -> list[_Source]:
+        """Runs oldest → newest, then the memtable."""
+        mem = self._memtable_source()
+        return self._runs + [mem] if mem is not None else self._runs
 
     def snapshot(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         t = int(t)
-        # Newer sources override older on duplicate keys.
-        out: dict[int, tuple[float, float]] = {}
-        for path in self._runs:
-            for r in self._range_from_run(self._run_mmap(path), t):
-                out[int(r["oid"])] = (float(r["x"]), float(r["y"]))
-        for (kt, oid), (x, y) in self._memtable.items():
-            if kt == t:
-                out[oid] = (x, y)
-        if not out:
-            return np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.float64)
-        oids = np.array(sorted(out), dtype=np.int64)
-        xy = np.array([out[int(o)] for o in oids], dtype=np.float64)
-        return oids, xy
+        bounds = _pack([t, t], [0, -1])  # (t, -1) sorts after every oid at t
+        parts = []
+        for src in self._sources():
+            lo, hi = np.searchsorted(src.keys, bounds)
+            if hi > lo:
+                parts.append(src.rec[lo:hi])
+        if not parts:
+            return EMPTY_IDS, EMPTY_XY
+        rec = _newest_wins(parts)
+        return rec["oid"].copy(), np.column_stack((rec["x"], rec["y"]))
 
     def points(self, t: int, oids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        t = int(t)
-        want = sorted({int(o) for o in oids})
-        out: dict[int, tuple[float, float]] = {}
-        for path in self._runs:
-            rec = self._run_mmap(path)
-            # Narrow to the timestamp's key range, then one binary search
-            # per requested oid within it (oids are sorted in-range).
-            seg = self._range_from_run(rec, t)
-            if not len(seg):
-                continue
-            seg_oids = seg["oid"]
-            pos = np.searchsorted(seg_oids, np.asarray(want, dtype=np.int64))
-            for oid, p in zip(want, pos):
-                if p < len(seg_oids) and seg_oids[p] == oid:
-                    out[oid] = (float(seg[p]["x"]), float(seg[p]["y"]))
-        for oid in want:
-            if (t, oid) in self._memtable:
-                out[oid] = self._memtable[(t, oid)]
-        if not out:
-            return np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.float64)
-        hit = np.array(sorted(out), dtype=np.int64)
-        xy = np.array([out[int(o)] for o in hit], dtype=np.float64)
+        want = np.fromiter(oids, dtype=np.int64)
+        _, hit, xy = self.gather(np.full(len(want), int(t), dtype=np.int64), want)
         return hit, xy
 
     def gather(self, t, oid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t, oid = gather_keys(t, oid)
         if not len(t):
             return EMPTY_IDS, EMPTY_IDS, EMPTY_XY
+        want = _pack(t, oid)
         xy = np.empty((len(t), 2), dtype=np.float64)
         found = np.zeros(len(t), dtype=bool)
-        for path in self._runs:  # oldest first: newer runs overwrite
-            rec = self._run_mmap(path)
-            if not len(rec):
-                continue
-            pos = _find(rec, t, oid)
-            hit = pos >= 0
-            r = rec[pos[hit]]
+        for src in self._sources():  # oldest first: newer sources overwrite
+            pos = np.minimum(np.searchsorted(src.keys, want), len(src.keys) - 1)
+            hit = src.keys[pos] == want
+            r = src.rec[pos[hit]]
             xy[hit, 0], xy[hit, 1] = r["x"], r["y"]
             found |= hit
-        if self._memtable:
-            for i, key in enumerate(zip(t.tolist(), oid.tolist())):
-                val = self._memtable.get(key)
-                if val is not None:
-                    xy[i] = val
-                    found[i] = True
         return t[found], oid[found], xy[found]
 
     # ------------------------------------------------------------- stats
@@ -218,9 +239,8 @@ class LSMTStore:
         return self._range
 
     def total_points(self) -> int:
-        keys = {(int(r["t"]), int(r["oid"])) for p in self._runs for r in np.fromfile(p, dtype=_DTYPE)}
-        keys.update(self._memtable)
-        return len(keys)
+        keys = [src.keys.view(_KEY) for src in self._sources()]
+        return len(_newest_wins(keys)) if keys else 0
 
     @property
     def n_runs(self) -> int:

@@ -4,6 +4,7 @@ the two access paths the paper's Section 5 requires."""
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.stores import FileStore, LSMTStore, MeteredStore, RDBMSStore
 from repro.stores.base import validate_frame
@@ -286,6 +287,103 @@ class TestLSMTInternals:
             b, bx = f.snapshot(t)
             assert a.tolist() == b.tolist()
             np.testing.assert_allclose(ax, bx)
+
+    def test_total_points_counts_overwritten_key_once(self):
+        s = LSMTStore(memtable_limit=2, max_runs=10)
+        s.put(1, 1, 10.0, 10.0)
+        s.put(2, 2, 0.0, 0.0)  # → first run
+        s.put(1, 1, 11.0, 11.0)
+        s.put(3, 3, 0.0, 0.0)  # → second run, (1, 1) again
+        s.put(1, 1, 12.0, 12.0)  # and once more in the memtable
+        assert s.n_runs == 2
+        assert s.total_points() == 3
+        np.testing.assert_allclose(s.points(1, [1])[1], [[12.0, 12.0]])
+
+    @pytest.mark.parametrize("limit,max_runs", [(7, 2), (50, 3), (64, 100), (1, 4), (10_000, 6)])
+    @pytest.mark.parametrize("prefix", [False, True])
+    def test_bulk_load_writes_the_put_loop_runs(self, tmp_path, limit, max_runs, prefix):
+        """``put_frame`` leaves the run files a ``put`` per row leaves:
+        same runs, byte for byte, and no file from a compacted run."""
+        df = validate_frame(DF)
+        stores = []
+        for name in ("bulk", "loop"):
+            s = LSMTStore(directory=str(tmp_path / name), memtable_limit=limit, max_runs=max_runs)
+            if prefix:  # a part-full memtable the frame partly overwrites
+                for t, oid in [(0, 0), (0, 1), (100, 0), (2, 3)]:
+                    s.put(t, oid, -1.0, -1.0)
+            if name == "bulk":
+                s.put_frame(df)
+            else:
+                for t, oid, x, y in df.itertuples(index=False):
+                    s.put(t, oid, x, y)
+            stores.append(s)
+        (bulk, loop) = stores
+        assert bulk.n_runs == loop.n_runs
+        files = {name: sorted((tmp_path / name).glob("run-*.sst")) for name in ("bulk", "loop")}
+        assert len(files["bulk"]) == bulk.n_runs == len(list((tmp_path / "bulk").iterdir()))
+        assert [p.name for p in files["bulk"]] == [p.name for p in files["loop"]]
+        for a, b in zip(files["bulk"], files["loop"]):
+            assert a.read_bytes() == b.read_bytes(), a.name
+        assert bulk.total_points() == loop.total_points()
+        assert bulk.time_range() == loop.time_range()
+
+
+_T, _OID = 6, 5  # model keys are (0..5, 0..4); reads also probe one past each
+_key = st.tuples(st.integers(0, _T - 1), st.integers(0, _OID - 1))
+_xy = st.tuples(*[st.integers(-50, 50).map(lambda v: v / 4)] * 2)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _key, _xy),
+        st.tuples(st.just("frame"), st.dictionaries(_key, _xy, max_size=20)),
+        st.tuples(st.just("flush")),
+        st.tuples(st.just("check")),  # a read between writes
+    ),
+    max_size=30,
+)
+
+
+class TestLSMTModel:
+    """Random put / put_frame / flush sequences with overwrites, checked
+    against a plain dict between writes and after every sequence."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ops, st.integers(2, 8), st.integers(1, 4))
+    def test_reads_match_dict_model(self, ops, limit, max_runs):
+        s = LSMTStore(memtable_limit=limit, max_runs=max_runs)
+        model: dict[tuple[int, int], tuple[float, float]] = {}
+        for op in ops:
+            if op[0] == "put":
+                (t, oid), (x, y) = op[1], op[2]
+                s.put(t, oid, x, y)
+                model[(t, oid)] = (x, y)
+            elif op[0] == "frame":
+                rows = [(t, oid, x, y) for (t, oid), (x, y) in op[1].items()]
+                s.put_frame(pd.DataFrame(rows, columns=["t", "oid", "x", "y"]))
+                model.update(op[1])
+            elif op[0] == "flush":
+                s.flush()
+            else:
+                self._check(s, model)
+        self._check(s, model)
+
+    @staticmethod
+    def _check(s, model):
+        keys = sorted(model)
+        for t in range(_T + 1):
+            at_t = [k for k in keys if k[0] == t]
+            oids, xy = s.snapshot(t)
+            assert oids.tolist() == [oid for _, oid in at_t]
+            assert xy.reshape(-1, 2).tolist() == [list(model[k]) for k in at_t]
+            oids, xy = s.points(t, range(_OID + 1))
+            assert oids.tolist() == [oid for _, oid in at_t]
+            assert xy.reshape(-1, 2).tolist() == [list(model[k]) for k in at_t]
+        every = [(t, oid) for t in range(_T + 1) for oid in range(_OID + 1)]
+        got_t, got_oid, xy = s.gather([t for t, _ in every[::-1]], [o for _, o in every[::-1]])
+        assert list(zip(got_t.tolist(), got_oid.tolist())) == keys
+        assert xy.reshape(-1, 2).tolist() == [list(model[k]) for k in keys]
+        assert s.total_points() == len(model)
+        ts = [t for t, _ in keys]
+        assert s.time_range() == ((min(ts), max(ts)) if ts else (0, -1))
 
 
 class TestMeteredStore:
